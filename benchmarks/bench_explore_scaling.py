@@ -11,12 +11,12 @@ benches the serial walk only, N > 0 (or -1 for auto) adds a parallel
 run with that pool size next to the serial baseline.
 """
 
+import os
 import time
 
 import pytest
 
 from repro.harness import default_workers, explore_app
-from repro.sim.snapshot import fork_available
 
 from conftest import emit
 
@@ -42,7 +42,7 @@ def _fingerprint(res):
 
 
 def test_sharded_dpor_scaling(benchmark, worker_count):
-    if not fork_available():
+    if not hasattr(os, "fork"):
         pytest.skip("sharded exploration needs fork")
     pool = default_workers() if worker_count < 0 else worker_count
 

@@ -171,7 +171,6 @@ def explore_config_doc(
     bug: Optional[str],
     dpor: bool,
     sleep_sets: bool,
-    snapshots: bool,
     sharded: bool,
     shard_depth: Optional[int],
     max_schedules: int,
@@ -186,11 +185,10 @@ def explore_config_doc(
     """Fingerprint-relevant fields of one exploration summary.
 
     ``dpor``/``sleep_sets`` select the reduction (the reported
-    :class:`~repro.sim.dpor.DporStats` differ across them), ``snapshots``
-    selects the pool (``pool_mode`` is part of the summary), and
+    :class:`~repro.sim.dpor.DporStats` differ across them), and
     ``sharded``/``shard_depth`` fix the frontier layout.  The *worker
     count* is absent: the sharded merge is bit-identical for any count
-    (``tests/sim/test_snapshot_explore.py``).  ``max_steps`` must be
+    (``tests/sim/test_reductions.py``).  ``max_steps`` must be
     resolved by the caller (an explicit value equal to the app default
     is the same computation and must hash the same).  ``bound`` is the
     doc form of the :class:`~repro.sim.explore.Bound` applied — bounding
@@ -206,7 +204,6 @@ def explore_config_doc(
         "bug": bug,
         "dpor": bool(dpor),
         "sleep_sets": bool(sleep_sets),
-        "snapshots": bool(snapshots),
         "sharded": bool(sharded),
         "shard_depth": int(shard_depth) if sharded and shard_depth is not None else None,
         "max_schedules": int(max_schedules),

@@ -24,7 +24,6 @@ from typing import Any, Dict, List, Optional
 from repro.apps import AppConfig, get_app
 from repro.sim.dpor import DporStats, explore_dpor, explore_dpor_sharded
 from repro.sim.explore import Bound, Exploration, Outcome, explore
-from repro.sim.snapshot import fork_available
 
 __all__ = [
     "AppExploration",
@@ -54,7 +53,6 @@ class ExplorationSummary:
     hits: int
     hit_fraction: float
     hit_probability: float
-    pool_mode: str
     #: ``dataclasses.asdict`` of the :class:`DporStats`, or None.
     dpor: Optional[Dict[str, Any]]
     witnesses: List[List[int]]
@@ -76,7 +74,6 @@ class ExplorationSummary:
             "hits": self.hits,
             "hit_fraction": self.hit_fraction,
             "hit_probability": self.hit_probability,
-            "pool_mode": self.pool_mode,
             "dpor": self.dpor,
             "witnesses": [list(c) for c in self.witnesses],
             "bound": self.bound,
@@ -94,7 +91,6 @@ class ExplorationSummary:
             hits=doc["hits"],
             hit_fraction=doc["hit_fraction"],
             hit_probability=doc["hit_probability"],
-            pool_mode=doc["pool_mode"],
             dpor=doc["dpor"],
             witnesses=[list(c) for c in doc.get("witnesses", [])],
             bound=doc.get("bound"),
@@ -111,8 +107,6 @@ class AppExploration:
     exploration: Exploration
     #: Reduction statistics when DPOR ran, else None.
     dpor_stats: Optional[DporStats]
-    #: "fork" when the copy-on-branch snapshot pool executed the runs.
-    pool_mode: str
     #: Schedules whose oracle reported the bug, over schedules explored.
     hits: int
     hit_fraction: float
@@ -131,7 +125,6 @@ class AppExploration:
             hits=self.hits,
             hit_fraction=self.hit_fraction,
             hit_probability=self.hit_probability,
-            pool_mode=self.pool_mode,
             dpor=(
                 dataclasses.asdict(self.dpor_stats)
                 if self.dpor_stats is not None
@@ -162,10 +155,9 @@ def _make_build_and_observe(app_name: str, cfg: AppConfig):
     """Fresh-instance build closure + oracle-evaluating observe closure.
 
     One app instance per run, exactly like the trial harness — explorers
-    re-execute ``build`` for every schedule (and in every forked runner),
-    so instance state must never leak between runs.  The holder hands the
-    run's instance to ``observe``; in fork mode both closures execute in
-    the same runner process, so the handoff is process-local.
+    re-execute ``build`` for every schedule, so instance state must
+    never leak between runs.  The holder hands the run's instance to
+    ``observe``, which runs right after that run finishes.
     """
     cls = get_app(app_name)
     holder: Dict[str, Any] = {}
@@ -196,7 +188,6 @@ def explore_app(
     *,
     dpor: bool = False,
     sleep_sets: bool = False,
-    snapshots: bool = False,
     workers: Optional[int] = None,
     shard_depth: int = 2,
     max_schedules: int = 10_000,
@@ -213,9 +204,8 @@ def explore_app(
     ``dpor`` switches to partial-order reduction (programs with timed
     operations are rejected — see :mod:`repro.sim.dpor`); ``workers``
     > 0 additionally shards the DPOR tree over forked worker processes.
-    ``sleep_sets``/``snapshots`` select the reduction and execution
-    strategies; snapshots silently fall back to stateless replay on
-    platforms without ``fork``.  ``bound`` applies the composable
+    ``sleep_sets`` prunes sleep-set-redundant DPOR schedules.
+    ``bound`` applies the composable
     preemption/variable cut strategies of
     :class:`~repro.sim.explore.Bound` in every explorer mode (the bound
     is result-relevant: it joins the cache fingerprint).
@@ -248,7 +238,6 @@ def explore_app(
             workers=workers,
             shard_depth=shard_depth,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             bound=bound,
         )
     elif dpor:
@@ -259,7 +248,6 @@ def explore_app(
             seed=seed,
             observe=observe,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             obs=obs,
             bound=bound,
         )
@@ -270,7 +258,6 @@ def explore_app(
             max_steps=max_steps,
             seed=seed,
             observe=observe,
-            snapshots=snapshots,
             max_time=cls.horizon,
             obs=obs,
             bound=bound,
@@ -282,7 +269,6 @@ def explore_app(
         bug=bug,
         exploration=exploration,
         dpor_stats=stats,
-        pool_mode="fork" if snapshots and fork_available() else "stateless",
         hits=hits,
         hit_fraction=exploration.probability(outcome_hit),
         hit_probability=exploration.probability(outcome_hit, weighted=True),

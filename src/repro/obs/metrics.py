@@ -24,10 +24,9 @@ semantics, plus an overflow bucket) so merging is exact bucket-wise
 addition — no approximation, no order sensitivity in the counts.
 
 The schedule explorers flush their own counter families here when given
-an obs context (``repro explore`` always does): ``explore.schedules`` /
+an obs context (service explore jobs do): ``explore.schedules`` /
 ``explore.steps_executed`` / ``explore.replayed_choices`` for any walk,
-``explore.snapshot.parks|restores|fallback_runs`` for the fork pool, and
-``explore.dpor.branches_added|conservative_fallbacks|sleep_set_prunes``
+and ``explore.dpor.branches_added|conservative_fallbacks|sleep_set_prunes``
 for the reduction — zero-valued counters are skipped.
 """
 

@@ -66,18 +66,18 @@ from .syscalls import (
     Yield,
 )
 from .dpor import DporStats, explore_dpor, explore_dpor_sharded
-from .explore import Exploration, Outcome, explore, explore_sharded, merge_shards
-from .replay import RecordingScheduler, ReplayDivergence, ReplayScheduler
-from .snapshot import (
+from .explore import (
     Bound,
-    ForkSnapshotPool,
-    PoolStats,
+    Exploration,
+    Outcome,
     RunRecord,
-    StatelessPool,
     count_preemptions,
-    fork_available,
-    make_pool,
+    explore,
+    explore_sharded,
+    merge_shards,
+    run_schedule,
 )
+from .replay import RecordingScheduler, ReplayDivergence, ReplayScheduler
 from .thread import SimThread, TState
 from .timeline import around_breakpoints, render_choice_path, render_timeline
 from .trace import OP, Event, Trace
@@ -115,11 +115,7 @@ __all__ = [
     "explore_dpor_sharded",
     "DporStats",
     "RunRecord",
-    "PoolStats",
-    "StatelessPool",
-    "ForkSnapshotPool",
-    "make_pool",
-    "fork_available",
+    "run_schedule",
     "render_timeline",
     "render_choice_path",
     "around_breakpoints",

@@ -32,7 +32,7 @@ there.  The result is exact for the programs this explorer targets (no
 timers — timed operations make steps non-commutable with the clock and
 are rejected).
 
-Three orthogonal extensions on top of the base algorithm:
+Two orthogonal extensions on top of the base algorithm:
 
 * ``sleep_sets=True`` — Godefroid sleep sets: when a sibling ``t`` has
   been fully explored from a state, ``t`` enters the *sleep set* of the
@@ -50,10 +50,6 @@ Three orthogonal extensions on top of the base algorithm:
   the number of *schedules counted*, never the set of distinct
   behaviours reached — the differential battery asserts behaviour-set
   equality against plain DPOR.
-* ``snapshots=True`` — schedules execute on the copy-on-branch fork
-  pool (:mod:`repro.sim.snapshot`) instead of stateless replay; step
-  footprints are computed inside the run's own process because they key
-  on object identities.
 * :func:`explore_dpor_sharded` — the schedule tree is split at a fixed
   depth into disjoint-prefix shards (the same frontier
   :func:`repro.sim.explore.explore_sharded` uses) that run DPOR
@@ -71,6 +67,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 from typing import (
     Any,
     Callable,
@@ -97,9 +94,9 @@ from .explore import (
     _schedule_weight,
     _variable_charges,
     merge_shards,
+    run_schedule,
 )
 from .kernel import Kernel
-from .snapshot import make_pool
 from .trace import OP
 
 __all__ = ["explore_dpor", "explore_dpor_sharded", "DporStats"]
@@ -133,8 +130,8 @@ class DporStats:
     #: proven redundant (their subtree is a commutation of an explored
     #: one), so their outcomes are dropped from the schedule count.
     sleep_set_prunes: int = 0
-    #: Kernel steps actually executed across all runs (suffix-only when
-    #: snapshots are on) — the denominator of the work saved.
+    #: Kernel steps executed across all runs, each replayed from step 0
+    #: — the denominator of the work saved.
     executed_steps: int = 0
     #: Backtrack branches cut by the preemption bound (0 unbounded).
     preemption_cuts: int = 0
@@ -177,12 +174,13 @@ def _dependent(a: Set[Tuple[int, str]], b: Set[Tuple[int, str]]) -> bool:
 
 
 def _footprint_extras(kernel: Kernel, sched) -> dict:
-    """Pool postprocess hook: footprints must be computed in the process
-    that executed the run — they key on object identities, which are
-    only meaningful there.  Every footprint comparison the explorer
-    makes is between footprints of one single run (pending transitions
-    at a state are state-determined, and the current run always passes
-    through every live frame's state), so ``id`` keys suffice."""
+    """Run postprocess hook: footprints must be computed while the run's
+    kernel is alive — they key on object identities, which mean nothing
+    once the next run rebuilds the program.  Every footprint comparison
+    the explorer makes is between footprints of one single run (pending
+    transitions at a state are state-determined, and the current run
+    always passes through every live frame's state), so ``id`` keys
+    suffice."""
     return {"foot": _step_footprints(kernel.trace, len(sched.choices))}
 
 
@@ -217,7 +215,6 @@ def explore_dpor(
     observe: Optional[Callable[[Kernel], object]] = None,
     *,
     sleep_sets: bool = False,
-    snapshots: bool = False,
     prefix: Sequence[int] = (),
     obs: Any = None,
     bound: Optional[Bound] = None,
@@ -233,8 +230,8 @@ def explore_dpor(
     subtree under the forced prefix; it is only sound when every sibling
     alternative above ``len(prefix)`` is explored elsewhere, which is
     exactly what :func:`explore_dpor_sharded`'s exhaustive frontier
-    guarantees.  ``sleep_sets``/``snapshots``/``obs`` are documented in
-    the module docstring.
+    guarantees.  ``sleep_sets`` is documented in the module docstring;
+    ``obs`` collects ``explore.*`` counters as in :func:`explore`.
 
     ``bound`` (a :class:`~repro.sim.explore.Bound`) cuts over-budget
     backtrack branches before they are taken — counted per strategy in
@@ -245,9 +242,9 @@ def explore_dpor(
         bound = None
     want_vars = bound is not None and bound.variables is not None
     base = len(prefix)
-    pool = make_pool(
+    run = functools.partial(
+        run_schedule,
         build,
-        snapshots=snapshots,
         seed=seed,
         max_steps=max_steps,
         record_trace=True,
@@ -255,6 +252,7 @@ def explore_dpor(
         postprocess=_footprint_extras_named if want_vars else _footprint_extras,
         bound=bound,
     )
+    runs = steps = replayed = 0
     branches_added = 0
     fallbacks = 0
     prunes = 0
@@ -272,7 +270,10 @@ def explore_dpor(
                 complete = False
                 break
 
-            rec = pool.run(next_forced)
+            rec = run(next_forced)
+            runs += 1
+            steps += rec.result.steps
+            replayed += len(next_forced)
             outcomes.append(
                 Outcome(
                     rec.choices,
@@ -461,7 +462,7 @@ def explore_dpor(
             branches_added=branches_added,
             conservative_fallbacks=fallbacks,
             sleep_set_prunes=prunes,
-            executed_steps=pool.stats.executed_steps,
+            executed_steps=steps,
             preemption_cuts=pcuts,
             variable_cuts=vcuts,
         )
@@ -475,11 +476,12 @@ def explore_dpor(
             stats,
         )
     finally:
-        pool.close()
         _flush_explore_obs(
             obs,
-            pool.stats,
             {
+                "explore.schedules": runs,
+                "explore.steps_executed": steps,
+                "explore.replayed_choices": replayed,
                 "explore.dpor.branches_added": branches_added,
                 "explore.dpor.conservative_fallbacks": fallbacks,
                 "explore.dpor.sleep_set_prunes": prunes,
@@ -516,7 +518,6 @@ def explore_dpor_sharded(
     shard_depth: int = 2,
     *,
     sleep_sets: bool = False,
-    snapshots: bool = False,
     fault_hook: Optional[Callable[[int, int], None]] = None,
     bound: Optional[Bound] = None,
 ) -> Tuple[Exploration, DporStats]:
@@ -558,7 +559,6 @@ def explore_dpor_sharded(
             seed=seed,
             observe=observe,
             sleep_sets=sleep_sets,
-            snapshots=snapshots,
             prefix=shard_prefix,
             bound=bound,
         )

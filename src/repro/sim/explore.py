@@ -1,20 +1,10 @@
 """Exhaustive (bounded) schedule exploration — a tiny model checker.
 
 Enumerates *every* interleaving of a small simulated program by DFS over
-scheduling choices.  Two execution modes share one DFS loop:
-
-* **stateless** (default, the seed behaviour): each schedule re-executes
-  from step 0 with a forced choice prefix — the kernel is deterministic
-  given the choices, so replay is exact but costs O(total steps) per
-  schedule;
-* **snapshots** (``snapshots=True``): schedules resume from
-  copy-on-branch process forks parked at the deepest shared prefix
-  (:mod:`repro.sim.snapshot`), costing O(suffix steps) per schedule.
-  The two modes enumerate the identical outcomes in the identical
-  order by construction — both drive the same DFS over the same
-  per-run :class:`~repro.sim.snapshot.RunRecord` data — and
-  ``tests/sim/test_snapshot_explore.py`` asserts it differentially
-  across every registered app.
+scheduling choices.  The search is stateless: each schedule re-executes
+from step 0 with a forced choice prefix (:func:`run_schedule`).  The
+kernel is deterministic given the choices, so replay is exact; it costs
+O(total steps) per schedule and keeps no state between schedules.
 
 In the paper's terms this is the CHESS-style systematic baseline
 [25, 26]: it proves a Heisenbug's schedule *exists* and measures how
@@ -31,22 +21,198 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import math
 import multiprocessing
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .kernel import Kernel, RunResult
-from .snapshot import Bound, PoolStats, _DFSScheduler, count_preemptions, make_pool
+from .scheduler import Scheduler
+from .thread import SimThread
 
 __all__ = [
     "Bound",
     "Outcome",
     "Exploration",
+    "RunRecord",
     "count_preemptions",
     "explore",
     "explore_sharded",
     "merge_shards",
+    "run_schedule",
 ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Bound:
+    """Composable cut-strategy configuration for bounded exploration.
+
+    ``preemptions`` caps the number of *preemptive* context switches per
+    schedule (a switch away from a thread that is still runnable — a
+    forced switch off a blocked or finished thread is always free);
+    ``variables`` caps the number of distinct shared objects, keyed by
+    their process-portable ``Type:name`` identity, that preemptions are
+    charged against across a schedule's prefix.  ``None`` disables that
+    strategy; a bound with both fields ``None`` is a no-op everywhere.
+
+    The bound is **result-relevant**: it is part of the exploration cache
+    fingerprint, and a sufficiently large finite bound is bit-identical
+    to no bound at all (the differential battery in
+    ``tests/sim/test_bounding.py`` asserts this across every registry
+    app).
+    """
+
+    preemptions: Optional[int] = None
+    variables: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        for field in ("preemptions", "variables"):
+            v = getattr(self, field)
+            if v is None:
+                continue
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+                raise ValueError(
+                    f"Bound.{field} must be a non-negative int or None, got {v!r}"
+                )
+
+    @property
+    def active(self) -> bool:
+        """Does this bound actually constrain anything?"""
+        return self.preemptions is not None or self.variables is not None
+
+    def to_doc(self) -> Optional[Dict[str, Optional[int]]]:
+        """JSON-able form (None when inactive) for wire/cache documents."""
+        if not self.active:
+            return None
+        return {"preemptions": self.preemptions, "variables": self.variables}
+
+    @classmethod
+    def from_doc(cls, doc: Optional[Dict[str, Optional[int]]]) -> Optional["Bound"]:
+        """Inverse of :meth:`to_doc` (None stays None)."""
+        if not doc:
+            return None
+        return cls(
+            preemptions=doc.get("preemptions"), variables=doc.get("variables")
+        )
+
+    @classmethod
+    def from_values(
+        cls, preemptions: Optional[int] = None, variables: Optional[int] = None
+    ) -> Optional["Bound"]:
+        """Build a bound, collapsing the both-None case to None."""
+        if preemptions is None and variables is None:
+            return None
+        return cls(preemptions=preemptions, variables=variables)
+
+
+def count_preemptions(
+    choices: Sequence[int], runnable_sets: Sequence[Tuple[int, ...]]
+) -> int:
+    """Preemptive switches in one schedule: depth ``d`` switched away
+    from a thread that was still runnable there.  This is the reference
+    recomputation the scheduler's incremental accounting is property-
+    tested against."""
+    n = 0
+    for d in range(1, len(choices)):
+        prev = choices[d - 1]
+        if choices[d] != prev and prev in runnable_sets[d]:
+            n += 1
+    return n
+
+
+class _DFSScheduler(Scheduler):
+    """Follows a forced prefix, then always picks the lowest tid, and
+    records the runnable set at every scheduling point.
+
+    With a preemption :class:`Bound`, the free descent additionally
+    refuses to *preempt* once the budget is spent: when the lowest-tid
+    pick would switch away from a still-runnable previous thread and
+    ``preemptions`` are exhausted, the scheduler stays on the previous
+    thread instead (always legal — it is runnable).  At ``bound=None``
+    or any budget the run never reaches, behaviour is bit-identical to
+    the unbounded scheduler.  ``self.preemptions`` counts preemptive
+    switches incrementally (forced-prefix ones included), a pure
+    function of ``(choices, runnable_sets)``.
+    """
+
+    def __init__(self, prefix: Sequence[int], bound: Optional["Bound"] = None) -> None:
+        self.prefix = list(prefix)
+        self.choices: List[int] = []
+        self.runnable_sets: List[Tuple[int, ...]] = []
+        self.bound = bound
+        self.preemptions = 0
+
+    def pick(self, runnable: Sequence[SimThread], step: int) -> SimThread:
+        tids = tuple(t.tid for t in runnable)  # kernel pre-sorts by tid
+        depth = len(self.choices)
+        if depth < len(self.prefix):
+            wanted = self.prefix[depth]
+            chosen = next(t for t in runnable if t.tid == wanted)
+        else:
+            chosen = runnable[0]
+            b = self.bound
+            if (
+                b is not None
+                and b.preemptions is not None
+                and self.choices
+                and self.preemptions >= b.preemptions
+            ):
+                prev = self.choices[-1]
+                if chosen.tid != prev and prev in tids:
+                    chosen = next(t for t in runnable if t.tid == prev)
+        if self.choices:
+            prev = self.choices[-1]
+            if chosen.tid != prev and prev in tids:
+                self.preemptions += 1
+        self.choices.append(chosen.tid)
+        self.runnable_sets.append(tids)
+        return chosen
+
+
+@dataclasses.dataclass
+class RunRecord:
+    """Everything one executed schedule hands back to a DFS loop."""
+
+    choices: Tuple[int, ...]
+    runnable_sets: Tuple[Tuple[int, ...], ...]
+    result: RunResult
+    observed: Any
+    #: Explorer-specific data from the ``postprocess`` hook (e.g. DPOR
+    #: step footprints, which key on the run's object identities).
+    extras: Optional[dict]
+    #: Preemptive context switches in this schedule (see
+    #: :func:`count_preemptions`, of which this is the incremental form).
+    preemptions: int = 0
+
+
+def run_schedule(
+    build: Callable[[Kernel], None],
+    prefix: Sequence[int] = (),
+    *,
+    seed: int = 0,
+    max_steps: int = 20_000,
+    max_time: float = math.inf,
+    record_trace: bool = False,
+    observe: Optional[Callable[[Kernel], object]] = None,
+    postprocess: Optional[Callable[[Kernel, _DFSScheduler], dict]] = None,
+    bound: Optional[Bound] = None,
+) -> RunRecord:
+    """Execute one schedule from scratch: a fresh kernel, ``build``,
+    the forced ``prefix``, then the lowest-tid descent (bounded by
+    ``bound``).  ``observe`` and ``postprocess`` see the finished
+    kernel before the record is returned."""
+    sched = _DFSScheduler(prefix, bound=bound)
+    kernel = Kernel(scheduler=sched, seed=seed, record_trace=record_trace)
+    build(kernel)
+    result = kernel.run(max_steps=max_steps, max_time=max_time)
+    return RunRecord(
+        choices=tuple(sched.choices),
+        runnable_sets=tuple(sched.runnable_sets),
+        result=result,
+        observed=observe(kernel) if observe is not None else None,
+        extras=postprocess(kernel, sched) if postprocess is not None else None,
+        preemptions=sched.preemptions,
+    )
 
 
 @dataclasses.dataclass
@@ -63,7 +229,7 @@ class Outcome:
     #: scheduling point (see :meth:`Exploration.probability`).
     weight: float = 1.0
     #: Preemptive context switches this schedule performed (see
-    #: :func:`repro.sim.snapshot.count_preemptions`).
+    #: :func:`count_preemptions`).
     preemptions: int = 0
 
 
@@ -247,22 +413,12 @@ def _cut_verdict(
     return None
 
 
-def _flush_explore_obs(obs: Any, stats: PoolStats, extra: Optional[Dict[str, int]] = None) -> None:
-    """Fold executor counters into an ``ObsContext`` metrics registry
+def _flush_explore_obs(obs: Any, counts: Dict[str, int]) -> None:
+    """Fold exploration counters into an ``ObsContext`` metrics registry
     (``explore.*`` namespace; zero counts are skipped like the kernel's
     own flush does)."""
     if obs is None:
         return
-    counts = {
-        "explore.schedules": stats.runs,
-        "explore.steps_executed": stats.executed_steps,
-        "explore.replayed_choices": stats.replayed_choices,
-        "explore.snapshot.parks": stats.parks,
-        "explore.snapshot.restores": stats.restores,
-        "explore.snapshot.fallback_runs": stats.fallback_runs,
-    }
-    if extra:
-        counts.update(extra)
     obs.metrics.add_counters({k: v for k, v in counts.items() if v})
 
 
@@ -273,7 +429,6 @@ def explore(
     seed: int = 0,
     observe: Optional[Callable[[Kernel], object]] = None,
     prefix: Sequence[int] = (),
-    snapshots: bool = False,
     max_time: float = math.inf,
     obs: Any = None,
     bound: Optional[Bound] = None,
@@ -292,19 +447,8 @@ def explore(
     This is the sharding primitive of :func:`explore_sharded` — subtrees
     of distinct same-length prefixes are disjoint by construction.
 
-    ``snapshots=True`` executes schedules on the copy-on-branch fork
-    pool (:mod:`repro.sim.snapshot`): runs resume from the deepest
-    parked snapshot instead of replaying the shared prefix.  Outcomes
-    are identical to stateless mode except that process-local result
-    fields (live thread objects, the deadlock exception instance) are
-    stripped exactly as :func:`explore_sharded` strips them, and
-    ``build``/``observe`` execute in forked children — side effects on
-    parent state do not propagate, only ``observe``'s (picklable)
-    return value does.  Falls back to stateless execution when ``fork``
-    is unavailable.
-
     ``obs`` (an :class:`repro.obs.ObsContext`) collects ``explore.*``
-    counters: schedules, steps executed, snapshot parks/restores.
+    counters: schedules, steps executed, replayed choices and cuts.
 
     ``bound`` applies the composable cut strategies of :class:`Bound`:
     branches whose schedule would exceed the preemption or variable
@@ -316,9 +460,9 @@ def explore(
     if bound is not None and not bound.active:
         bound = None
     want_vars = bound is not None and bound.variables is not None
-    pool = make_pool(
+    run = functools.partial(
+        run_schedule,
         build,
-        snapshots=snapshots,
         seed=seed,
         max_steps=max_steps,
         max_time=max_time,
@@ -328,16 +472,19 @@ def explore(
         postprocess=_var_footprint_extras if want_vars else None,
     )
     pcuts = vcuts = 0
+    steps = replayed = 0
+    outcomes: List[Outcome] = []
+    stack: List[List[int]] = [list(prefix)]
+    complete = True
     try:
-        outcomes: List[Outcome] = []
-        stack: List[List[int]] = [list(prefix)]
-        complete = True
         while stack:
             if len(outcomes) >= max_schedules:
                 complete = False
                 break
             prefix = stack.pop()
-            rec = pool.run(prefix)
+            rec = run(prefix)
+            steps += rec.result.steps
+            replayed += len(prefix)
             result = rec.result
             if want_vars and result.trace is not None:
                 # The trace exists only to compute variable footprints;
@@ -357,9 +504,7 @@ def explore(
             # starts a branch nobody has visited yet (unbounded descent
             # always picks the minimum, so "other than" reduces to
             # "greater than" there).  Push shallow-first so the DFS
-            # pops the deepest branch next (keeps the stack small — and
-            # keeps the pop adjacent to the deepest parked snapshots in
-            # fork mode).
+            # pops the deepest branch next (keeps the stack small).
             if bound is None:
                 for depth in range(len(prefix), len(rec.choices)):
                     chosen = rec.choices[depth]
@@ -395,19 +540,23 @@ def explore(
                             vcuts += 1
                         else:
                             stack.append(list(rec.choices[:depth]) + [alt])
-        return Exploration(
-            outcomes=outcomes,
-            complete=complete,
-            preemption_cuts=pcuts,
-            variable_cuts=vcuts,
-        )
     finally:
-        pool.close()
         _flush_explore_obs(
             obs,
-            pool.stats,
-            {"explore.preemption_cuts": pcuts, "explore.variable_cuts": vcuts},
+            {
+                "explore.schedules": len(outcomes),
+                "explore.steps_executed": steps,
+                "explore.replayed_choices": replayed,
+                "explore.preemption_cuts": pcuts,
+                "explore.variable_cuts": vcuts,
+            },
         )
+    return Exploration(
+        outcomes=outcomes,
+        complete=complete,
+        preemption_cuts=pcuts,
+        variable_cuts=vcuts,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -493,43 +642,48 @@ def _frontier(
     prefixes: List[List[int]] = [[]]
     direct: List[Outcome] = []
     pcuts = vcuts = 0
+    run = functools.partial(
+        run_schedule,
+        build,
+        seed=seed,
+        max_steps=max_steps,
+        observe=observe,
+        bound=bound,
+        record_trace=want_vars,
+        postprocess=_var_footprint_extras if want_vars else None,
+    )
     for _ in range(shard_depth):
         nxt: List[List[int]] = []
         for p in prefixes:
-            sched = _DFSScheduler(p, bound=bound)
-            kernel = Kernel(scheduler=sched, seed=seed, record_trace=want_vars)
-            build(kernel)
-            result = kernel.run(max_steps=max_steps)
-            if len(sched.choices) <= len(p):
-                observed = observe(kernel) if observe is not None else None
+            rec = run(p)
+            if len(rec.choices) <= len(p):
+                result = rec.result
                 if want_vars and result.trace is not None:
                     result = dataclasses.replace(result, trace=None)
                 direct.append(
                     Outcome(
-                        tuple(sched.choices),
+                        rec.choices,
                         result,
-                        observed,
-                        _schedule_weight(sched.runnable_sets),
-                        sched.preemptions,
+                        rec.observed,
+                        _schedule_weight(rec.runnable_sets),
+                        rec.preemptions,
                     )
                 )
             elif bound is None:
-                for tid in sched.runnable_sets[len(p)]:
+                for tid in rec.runnable_sets[len(p)]:
                     nxt.append(p + [tid])
             else:
                 depth = len(p)
-                chosen = sched.choices[depth]
-                cum_p = _preemption_prefix_counts(sched.choices, sched.runnable_sets)
+                chosen = rec.choices[depth]
+                cum_p = _preemption_prefix_counts(rec.choices, rec.runnable_sets)
                 charges = (
                     _variable_charges(
-                        sched.choices,
-                        sched.runnable_sets,
-                        _name_footprints(kernel.trace, len(sched.choices)),
+                        rec.choices, rec.runnable_sets, rec.extras["vfoot"]
                     )
                     if want_vars
                     else None
                 )
-                for tid in sched.runnable_sets[depth]:
+                for tid in rec.runnable_sets[depth]:
                     if tid == chosen:
                         nxt.append(p + [tid])
                         continue
@@ -537,8 +691,8 @@ def _frontier(
                         bound,
                         cum_p,
                         charges,
-                        sched.choices,
-                        sched.runnable_sets,
+                        rec.choices,
+                        rec.runnable_sets,
                         depth,
                         tid,
                     )

@@ -99,7 +99,6 @@ class JobSpec:
     # --- exploration parameters (repro.harness.explore_app) ---
     dpor: bool = False
     sleep_sets: bool = False
-    snapshots: bool = False
     shard_depth: int = 2
     max_schedules: int = 2000
     max_steps: Optional[int] = None
@@ -322,7 +321,6 @@ def execute_job(
             cache=cache,
             dpor=spec.dpor,
             sleep_sets=spec.sleep_sets,
-            snapshots=spec.snapshots,
             workers=spec.workers or None,
             shard_depth=spec.shard_depth,
             max_schedules=spec.max_schedules,
@@ -390,7 +388,6 @@ def try_cached_result(cache: Optional[Any], spec: JobSpec) -> Optional[Dict[str,
                 ),
                 dpor=spec.dpor,
                 sleep_sets=spec.sleep_sets,
-                snapshots=spec.snapshots,
                 workers=spec.workers or None,
                 shard_depth=spec.shard_depth,
                 max_schedules=spec.max_schedules,

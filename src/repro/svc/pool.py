@@ -38,7 +38,7 @@ from __future__ import annotations
 import multiprocessing
 import threading
 import time
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -58,6 +58,7 @@ def _worker_main(
     conn,
     fault_hook: Optional[FaultHook],
     cache: Optional[Any],
+    inherited: Sequence[Any] = (),
 ) -> None:
     """Worker-process body: serve jobs off the pipe until told to exit.
 
@@ -65,7 +66,17 @@ def _worker_main(
     answer ``("ok", payload, cache_wire)`` or ``("err", message)``;
     receive ``("exit",)`` (or pipe EOF) and return.  A crash simply
     never answers — the parent notices the dead process.
+
+    ``inherited`` are the parent-side pipe ends a forked worker got a
+    copy of (its own and every earlier worker's).  They are closed
+    first: while any copy stays open, ``recv`` never sees EOF, so a
+    worker would outlive a SIGKILLed owner forever.
     """
+    for end in inherited:
+        try:
+            end.close()
+        except OSError:
+            pass
     while True:
         try:
             msg = conn.recv()
@@ -172,10 +183,16 @@ class WorkerPool:
             if self._stopping:
                 return None
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        inherited: List[Any] = []
+        if self._ctx.get_start_method() == "fork":
+            with self._lock:
+                inherited = [parent_conn] + [
+                    w.conn for w in self._workers if w is not None
+                ]
         # Non-daemonic: the job may spawn its own harness.parallel pool.
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._fault_hook, self._cache),
+            args=(child_conn, self._fault_hook, self._cache, inherited),
             name=f"svc-pool-{slot}",
             daemon=False,
         )

@@ -295,11 +295,14 @@ class TestExplore:
         out = capsys.readouterr().out
         assert "dpor" in out
 
-    def test_snapshot_pool_reported(self, capsys):
-        assert run_cli("explore", "figure4", "--snapshots",
-                       "--max-schedules", "12") == 0
-        out = capsys.readouterr().out
-        assert "fork pool" in out
+    def test_snapshots_flag_is_gone(self, capsys):
+        # The fork snapshot pool was removed; its flag is now an
+        # argparse usage error rather than a silent no-op.
+        with pytest.raises(SystemExit) as exc:
+            run_cli("explore", "figure4", "--snapshots",
+                    "--max-schedules", "12")
+        assert exc.value.code == 2
+        assert "--snapshots" in capsys.readouterr().err
 
     def test_timed_app_rejected_for_dpor(self, capsys):
         assert run_cli("explore", "figure4", "--dpor") == 2

@@ -10,6 +10,7 @@ determinism properties the bound's cache-fingerprint role relies on.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,8 +24,7 @@ from repro.apps.large import EXPLORE_PARAMS
 from repro.harness import explore_app
 from repro.sim import Bound, SharedCell, SimLock, count_preemptions
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
-from repro.sim.explore import _var_key, explore
-from repro.sim.snapshot import StatelessPool, fork_available
+from repro.sim.explore import _var_key, explore, run_schedule
 
 #: A budget no finite program here can spend: bounded(HUGE) must be
 #: bit-identical to unbounded.
@@ -128,7 +128,7 @@ def test_huge_bound_is_identity_under_dpor(app_name, bug, params, sleep_sets):
     assert runs[HUGE].dpor_stats == runs[None].dpor_stats
 
 
-@pytest.mark.skipif(not fork_available(), reason="sharding requires fork")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sharding requires fork")
 def test_huge_bound_is_identity_under_sharded_dpor():
     def walk(bound):
         return explore_app(
@@ -223,9 +223,8 @@ def test_preemption_accounting_matches_trace(spec):
     the reference recomputation, never exceeds the context switches the
     trace actually shows, and the traced tid sequence is the schedule."""
     ex = explore(_program(spec), max_schedules=40)
-    pool = StatelessPool(_program(spec), record_trace=True)
     for outcome in ex.outcomes[:10]:
-        rec = pool.run(outcome.choices)
+        rec = run_schedule(_program(spec), outcome.choices, record_trace=True)
         assert rec.choices == tuple(outcome.choices)
         assert rec.preemptions == count_preemptions(rec.choices, rec.runnable_sets)
         assert rec.preemptions == outcome.preemptions

@@ -1,31 +1,21 @@
-"""Differential battery for prefix-sharing exploration.
+"""Differential battery for the exploration reductions.
 
-The copy-on-branch fork pool, the sleep-set reduction, and the sharded
-DPOR walk are all *performance* features: none of them may change what
-an exploration returns.  Every test here states that as an equality —
-snapshot runs fingerprint-identical to stateless replay, sleep sets and
-sharding behaviour-equal to the plain serial walk — plus the crash and
-weighting contracts that ride on the same machinery.
+Sleep sets and sharded DPOR are *performance* features: neither may
+change which behaviours an exploration reaches.  Every test here states
+that as an equality — sleep sets and sharding behaviour-equal to the
+plain serial walk, the sharded merge identical for any worker count and
+after a worker crash — plus the weighting contract the exploration CLI
+reports.
 """
 
 import os
 
 import pytest
 
-from repro.apps import ALL_APPS
 from repro.harness import explore_app
 from repro.sim import SharedCell, SimLock
 from repro.sim.dpor import explore_dpor, explore_dpor_sharded
 from repro.sim.explore import explore
-from repro.sim.snapshot import fork_available
-
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="fork snapshots unavailable on this platform"
-)
-
-#: Small caps: the equality must hold on truncated explorations too
-#: (both modes must truncate at the *same* schedule).
-APP_CAPS = dict(max_schedules=8, max_steps=1500)
 
 
 def fingerprint(ex):
@@ -48,51 +38,6 @@ def fingerprint(ex):
 
 def behaviours(ex):
     return sorted(set(repr(o.observed) for o in ex.outcomes))
-
-
-# ---------------------------------------------------------------------------
-# snapshot pool vs stateless replay — every registered app
-
-
-@pytest.mark.parametrize("app_name", sorted(ALL_APPS), ids=str)
-def test_snapshot_explore_matches_stateless(app_name):
-    runs = {
-        mode: explore_app(app_name, snapshots=mode, **APP_CAPS)
-        for mode in (False, True)
-    }
-    assert runs[True].pool_mode == "fork"
-    assert fingerprint(runs[True].exploration) == fingerprint(
-        runs[False].exploration
-    )
-
-
-def test_snapshot_dpor_matches_stateless_on_bank():
-    fps = [
-        fingerprint(
-            explore_app(
-                "bank",
-                "lost_update",
-                dpor=True,
-                sleep_sets=sleep,
-                snapshots=snap,
-                max_schedules=5000,
-                params={"iters": 2},
-            ).exploration
-        )
-        for sleep in (False, True)
-        for snap in (False, True)
-    ]
-    assert fps[0] == fps[1]  # plain DPOR: fork == stateless
-    assert fps[2] == fps[3]  # sleep-set DPOR: fork == stateless
-    assert fps[0] != fps[2]  # and the modes genuinely differ in size
-
-
-def test_timed_apps_rejected_identically_in_both_modes():
-    # Every Table 1/2 workload uses virtual-time sleeps; DPOR must
-    # refuse them no matter which pool executes the runs.
-    for snap in (False, True):
-        with pytest.raises(ValueError, match="timed"):
-            explore_app("figure4", dpor=True, snapshots=snap, max_schedules=4)
 
 
 # ---------------------------------------------------------------------------
@@ -218,24 +163,9 @@ def _racy_pair_build(kernel):
 
 
 def test_weighted_probability_is_a_probability_measure():
-    for snapshots in (False, True):
-        ex = explore(
-            _racy_pair_build,
-            observe=lambda k: k._cells[0].peek(),
-            snapshots=snapshots,
-        )
-        assert ex.complete
-        total = ex.probability(lambda o: True, weighted=True)
-        assert total == pytest.approx(1.0)
-        lost = ex.probability(lambda o: o.observed == 1, weighted=True)
-        assert 0.0 < lost < 1.0
-
-
-def test_hit_probability_consistent_between_modes():
-    runs = {
-        snap: explore_app("bank", "lost_update", dpor=True, sleep_sets=True,
-                          snapshots=snap, params={"iters": 2})
-        for snap in (False, True)
-    }
-    assert runs[True].hit_probability == runs[False].hit_probability
-    assert runs[True].hits == runs[False].hits
+    ex = explore(_racy_pair_build, observe=lambda k: k._cells[0].peek())
+    assert ex.complete
+    total = ex.probability(lambda o: True, weighted=True)
+    assert total == pytest.approx(1.0)
+    lost = ex.probability(lambda o: o.observed == 1, weighted=True)
+    assert 0.0 < lost < 1.0

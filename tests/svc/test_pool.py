@@ -9,10 +9,15 @@ jobs).
 """
 
 import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.apps import get_app
 from repro.harness import run_trials
 from repro.svc import ReproService, ReproClient, JobSpec
@@ -136,3 +141,61 @@ class TestFaultModel:
 def _sleep_long(spec, attempt):
     """Fault hook: wedge the worker far past any test budget."""
     time.sleep(300)
+
+
+#: Owner process for the orphan test: starts a two-slot pool, reports
+#: the worker pids, then idles until it is killed.
+_POOL_OWNER = """
+import time
+from repro.obs.metrics import MetricsRegistry
+from repro.svc.pool import WorkerPool
+pool = WorkerPool(MetricsRegistry(), slots=2).start()
+print(pool.worker_pid(0), pool.worker_pid(1), flush=True)
+time.sleep(600)
+"""
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie (an orphan that exited may
+    linger unreaped, depending on what reaps orphans here)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return False
+
+
+class TestOwnerDeath:
+    def test_workers_exit_when_owner_is_sigkilled(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        owner = subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER],
+            stdout=subprocess.PIPE, text=True, env=env,
+        )
+        pids = []
+        try:
+            pids = [int(p) for p in owner.stdout.readline().split()]
+            assert len(pids) == 2
+            owner.send_signal(signal.SIGKILL)
+            owner.wait(timeout=30)
+            # A worker exits on pipe EOF, which only arrives once no
+            # process holds the parent end any more.  The deadline only
+            # bounds a failing run; a passing one exits within ms.
+            deadline = time.monotonic() + 30.0
+            while not all(_exited(p) for p in pids):
+                assert time.monotonic() < deadline, (
+                    f"pool workers {pids} outlived their SIGKILLed owner"
+                )
+                time.sleep(0.05)
+        finally:
+            if owner.poll() is None:
+                owner.kill()
+                owner.wait()
+            owner.stdout.close()
+            for pid in pids:
+                if not _exited(pid):
+                    os.kill(pid, signal.SIGKILL)

@@ -111,6 +111,15 @@ class TestEndpoints:
         assert status == 400
         assert "unknown job spec field" in doc["error"]
 
+    def test_removed_snapshots_field_400(self, client):
+        # The fork snapshot pool is gone; a spec still asking for it is
+        # rejected loudly rather than silently run stateless.
+        spec = JobSpec(kind="explore", app="figure4", max_schedules=4).to_json()
+        spec["snapshots"] = True
+        status, doc = client._request("POST", "/jobs", body=spec)
+        assert status == 400
+        assert "snapshots" in doc["error"]
+
     def test_malformed_body_400(self, service, client):
         conn = http.client.HTTPConnection(service.host, service.port, timeout=5)
         try:
